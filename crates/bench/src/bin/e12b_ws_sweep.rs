@@ -32,10 +32,10 @@
 //!   to stderr; CI redirects stdout to `BENCH_5.json`),
 //! * `--workers a,b,c` — override the default 1,2,4 sweep.
 
+use om_bench::{median, time_batch};
 use om_codegen::{CodeGenerator, GenOptions};
 use om_runtime::{Strategy, WorkStealPool, WorkerPool};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 struct Cell {
     workers: usize,
@@ -56,28 +56,6 @@ struct ModelRow {
     /// Pool-free `eval_serial` baseline, ns per RHS call.
     serial_ns: f64,
     cells: Vec<Cell>,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-/// Time `calls` RHS evaluations; returns ns per call.
-fn time_batch(mut rhs: impl FnMut(f64), t0: f64, calls: usize) -> f64 {
-    let start = Instant::now();
-    for k in 0..calls {
-        rhs(t0 + 1e-6 * k as f64);
-    }
-    start.elapsed().as_nanos() as f64 / calls as f64
 }
 
 fn main() {

@@ -23,10 +23,10 @@
 //!   to stderr; CI redirects stdout to `BENCH_7.json`),
 //! * `--widths a,b,c` — override the default 1,2,4,8,16 lane sweep.
 
+use om_bench::{median, time_batch};
 use om_codegen::task::BatchScratch;
 use om_codegen::{CodeGenerator, GenOptions};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 struct Cell {
     lanes: usize,
@@ -41,28 +41,6 @@ struct ModelRow {
     /// Scalar `eval_serial` baseline (the K=1 oracle path), ns per call.
     serial_ns: f64,
     cells: Vec<Cell>,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-/// Time `calls` evaluations; returns ns per call.
-fn time_batch(mut eval: impl FnMut(f64), t0: f64, calls: usize) -> f64 {
-    let start = Instant::now();
-    for k in 0..calls {
-        eval(t0 + 1e-6 * k as f64);
-    }
-    start.elapsed().as_nanos() as f64 / calls as f64
 }
 
 fn main() {

@@ -36,6 +36,7 @@
 //! Flags: `--quick` (CI smoke ladder), `--json` (BENCH_8.json on stdout,
 //! human table on stderr).
 
+use om_bench::median;
 use om_codegen::{CodeGenerator, GenOptions};
 use om_models::bearing2d::{self, BearingConfig};
 use om_models::heat1d::{self, HeatConfig};
@@ -52,16 +53,6 @@ struct Rung {
     lint_ms: f64,
     oracle_tasks: usize,
     aware_tasks: usize,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
 }
 
 /// Full pipeline: source text → compiled task graph. Returns the graph

@@ -23,6 +23,7 @@
 //! Flags: `--quick` (fewer repeats), `--json` (BENCH_9.json on stdout,
 //! human table on stderr), `--omc PATH`.
 
+use om_bench::median;
 use om_models::bearing2d::{self, BearingConfig};
 use om_runtime::ensemble::json;
 use om_runtime::{ServeConfig, Server};
@@ -39,16 +40,6 @@ const SCENARIOS: usize = 64;
 const TEND: f64 = 1.0e-5;
 const H: f64 = 1e-5;
 const BATCH: usize = 8;
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
 
 /// Vertical-deflection start values for the batch: micron-scale
 /// perturbations around the physical `y(start = -4.0e-5)` equilibrium

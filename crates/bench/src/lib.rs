@@ -5,7 +5,8 @@
 //! CSV under `target/experiments/` so EXPERIMENTS.md can quote them.
 //!
 //! Shared plumbing lives here: experiment output files, the bearing
-//! workload builders, and simulated speedup computation.
+//! workload builders, simulated speedup computation, and the timing
+//! helpers (`median`, `time_batch`) the layer benches share.
 
 use om_codegen::comm::MessagePolicy;
 use om_codegen::{lpt, CodeGenerator, GenOptions, TaskGraph};
@@ -14,6 +15,7 @@ use om_runtime::sim::{simulate_rhs_time, simulate_serial_time, SimBreakdown};
 use om_runtime::MachineSpec;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Directory where experiment CSVs land.
 pub fn experiments_dir() -> PathBuf {
@@ -104,6 +106,31 @@ pub fn simulate(graph: &TaskGraph, workers: usize, machine: &MachineSpec) -> Sim
 /// Simulated speedup over the one-processor serial execution.
 pub fn speedup(graph: &TaskGraph, workers: usize, machine: &MachineSpec) -> f64 {
     simulate_serial_time(graph, machine) / simulate(graph, workers, machine).total
+}
+
+/// Median of `xs` (mean of the middle pair for even lengths); NaN for an
+/// empty input.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n == 0 {
+        return f64::NAN;
+    }
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        0.5 * (xs[n / 2 - 1] + xs[n / 2])
+    }
+}
+
+/// Time `calls` evaluations of `eval(t)` at `t = t0 + 1e-6·k`; returns
+/// nanoseconds per call.
+pub fn time_batch(mut eval: impl FnMut(f64), t0: f64, calls: usize) -> f64 {
+    let start = Instant::now();
+    for k in 0..calls {
+        eval(t0 + 1e-6 * k as f64);
+    }
+    start.elapsed().as_nanos() as f64 / calls as f64
 }
 
 /// Pretty horizontal rule for table output.
@@ -288,6 +315,13 @@ pub fn state_groups_from_partition(ir: &om_ir::OdeIr) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_handles_odd_even_and_empty_inputs() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert!(median(Vec::new()).is_nan());
+    }
 
     #[test]
     fn bearing_graph_builds_and_simulates() {

@@ -42,7 +42,7 @@ pub use bytecode::{Instr, Program};
 pub use cse::{CseMode, CseProgram};
 pub use dag::{Dag, NodeId};
 pub use generator::{CodeGenerator, GenOptions, GenStats, ParallelProgram};
-pub use registry::{fnv1a64, CompiledModel, ModelKey, ModelRegistry, RegistryError};
+pub use registry::{fnv1a64, front_end, CompiledModel, ModelKey, ModelRegistry, RegistryError};
 pub use sched::{list_schedule, lpt, Schedule};
 pub use task::{BatchScratch, CompiledTask, OutSlot, TaskGraph};
 pub use vm::{execute, execute_batch, LANE_CHUNK};

@@ -23,7 +23,7 @@ use om_ir::OdeIr;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bump when the compile pipeline changes in a way that invalidates
 /// previously recorded keys/identities (checkpoints store both).
@@ -76,11 +76,31 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// The front end: source text → flattened → causalized → verified
+/// internal form. `array_aware` keeps instance arrays symbolic (array
+/// classes + loop tasks downstream); otherwise the model is fully
+/// scalarized, the bitwise oracle. This is the one place the workspace
+/// turns source into IR for compilation.
+pub fn front_end(source: &str, array_aware: bool) -> Result<OdeIr, RegistryError> {
+    let err = |message: String| RegistryError { message };
+    let flat = if array_aware {
+        om_lang::compile_arrays(source)
+    } else {
+        om_lang::compile(source)
+    }
+    .map_err(|e| err(e.to_string()))?;
+    let ir = om_ir::causalize(&flat).map_err(|e| err(e.to_string()))?;
+    om_ir::verify_compilable(&ir).map_err(|e| err(e.to_string()))?;
+    Ok(ir)
+}
+
 /// An immutable compiled model: source key, causalized IR, generated
 /// task graph + bytecode, structural identity, and a schedule cache.
 pub struct CompiledModel {
     key: ModelKey,
-    identity: u64,
+    /// Computed on first use: only checkpoints and `omc serve` responses
+    /// read it, and hashing a large scalarized graph is not free.
+    identity: OnceLock<u64>,
     ir: OdeIr,
     program: ParallelProgram,
     /// LPT/list schedules per worker count, computed once per `m`.
@@ -88,30 +108,31 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Compile `source` through the full pipeline (flatten → causalize →
-    /// verify → generate) with the given generator options.
+    /// Compile `source` through the scalarizing [`front_end`] and
+    /// generate code with the given generator options.
     pub fn compile_with(
         source: &str,
         generator: &CodeGenerator,
     ) -> Result<CompiledModel, RegistryError> {
-        let flat = om_lang::compile(source).map_err(|e| RegistryError {
-            message: e.to_string(),
-        })?;
-        let ir = om_ir::causalize(&flat).map_err(|e| RegistryError {
-            message: e.to_string(),
-        })?;
-        om_ir::verify_compilable(&ir).map_err(|e| RegistryError {
-            message: e.to_string(),
-        })?;
+        let ir = front_end(source, false)?;
+        Ok(CompiledModel::from_ir(
+            ModelKey::of_source(source),
+            ir,
+            generator,
+        ))
+    }
+
+    /// Generate code for an already verified internal form (e.g. an
+    /// array-aware [`front_end`] result) and file it under `key`.
+    pub fn from_ir(key: ModelKey, ir: OdeIr, generator: &CodeGenerator) -> CompiledModel {
         let program = generator.generate(&ir);
-        let identity = graph_identity(&program.graph);
-        Ok(CompiledModel {
-            key: ModelKey::of_source(source),
-            identity,
+        CompiledModel {
+            key,
+            identity: OnceLock::new(),
             ir,
             program,
             schedules: Mutex::new(HashMap::new()),
-        })
+        }
     }
 
     /// [`CompiledModel::compile_with`] under default generator options.
@@ -129,7 +150,9 @@ impl CompiledModel {
     /// Two sources compiling to the same graph share an identity; the
     /// same source under a different pipeline does not.
     pub fn identity(&self) -> u64 {
-        self.identity
+        *self
+            .identity
+            .get_or_init(|| graph_identity(&self.program.graph))
     }
 
     /// The causalized internal form.
@@ -183,7 +206,7 @@ impl fmt::Debug for CompiledModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledModel")
             .field("key", &self.key)
-            .field("identity", &format_args!("{:016x}", self.identity))
+            .field("identity", &format_args!("{:016x}", self.identity()))
             .field("model", &self.ir.name)
             .field("dim", &self.ir.dim())
             .field("tasks", &self.program.graph.tasks.len())

@@ -6,6 +6,7 @@
 //! is free to improve without breaking anything.
 
 use om_lang::SourcePos;
+use om_obs::json;
 use std::fmt;
 
 /// Diagnostic severity, ordered `Info < Warn < Error`.
@@ -428,7 +429,7 @@ impl Report {
     pub fn render_json(&self, file: &str) -> String {
         let mut out = String::new();
         out.push_str("{\"file\":\"");
-        out.push_str(&json_escape(file));
+        out.push_str(&json::escape(file));
         out.push_str("\",\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
@@ -440,7 +441,7 @@ impl Report {
                 d.severity,
                 d.pos.line,
                 d.pos.col,
-                json_escape(&d.message)
+                json::escape(&d.message)
             ));
         }
         out.push(']');
@@ -458,23 +459,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -36,8 +36,11 @@
 
 pub mod batch;
 pub mod checkpoint;
-pub mod json;
 pub mod scenario;
+
+/// The workspace's JSON module (`om_obs::json`), which the checkpoint,
+/// manifest and serve protocol speak; external callers import it here.
+pub use om_obs::json;
 
 pub use checkpoint::{load as load_checkpoint, CheckpointHeader, CheckpointWriter};
 pub use scenario::{

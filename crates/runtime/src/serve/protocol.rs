@@ -155,6 +155,9 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
     if let Some(tend) = doc.get("tend").and_then(Json::as_f64) {
         run.tend = tend;
     }
+    if !(run.tend.is_finite() && run.tend > run.t0) {
+        return Err("'tend' must be finite and after 't0' (forward integration only)".into());
+    }
     if let Some(h) = doc.get("h").and_then(Json::as_f64) {
         if !(h.is_finite() && h > 0.0) {
             return Err("'h' must be a positive finite step".into());
@@ -344,6 +347,10 @@ mod tests {
                 "positive",
             ),
             (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":0}"#,
+                "forward integration only",
+            ),
+            (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"gpu"}"#,
                 "unknown executor",
             ),
@@ -351,6 +358,29 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "line {line}: got '{err}'");
         }
+    }
+
+    /// The chrome-trace validator and the request decoder share one JSON
+    /// parser, so a duplicated key resolves to its last value in both:
+    /// admission checks exactly the value the run then uses.
+    #[test]
+    fn duplicate_keys_resolve_last_wins_in_trace_and_request() {
+        let trace = r#"{"traceEvents":[
+            {"name":"first","name":"a","ph":"B","pid":1,"tid":1,"ts":1.0},
+            {"name":"a","ph":"E","pid":1,"tid":1,"ts":2.0}
+        ]}"#;
+        let check = om_obs::chrome::validate_chrome_json(trace).expect("last name wins");
+        assert_eq!(
+            check.tracks[&1].sequence[0],
+            ("B".to_owned(), "a".to_owned())
+        );
+
+        let line = r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],
+            "tend":0,"tend":0.5}"#;
+        let Request::Run(req) = parse_request(line).expect("last tend wins") else {
+            panic!("expected run request");
+        };
+        assert_eq!(req.run.tend, 0.5);
     }
 
     #[test]

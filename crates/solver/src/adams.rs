@@ -16,7 +16,8 @@
 //! (multi-step methods)").
 
 use crate::ode::{
-    check_finite, eval_rhs, obs_step, OdeSystem, Solution, SolveError, SolveStats, Tolerances,
+    check_finite, check_span, eval_rhs, obs_step, OdeSystem, Solution, SolveError, SolveStats,
+    Tolerances,
 };
 use crate::rk::rk4;
 
@@ -28,7 +29,7 @@ pub fn abm4(
     tend: f64,
     tol: &Tolerances,
 ) -> Result<Solution, SolveError> {
-    assert!(tend > t0, "forward integration only");
+    check_span(t0, tend)?;
     let n = sys.dim();
     assert_eq!(y0.len(), n);
     let mut sol = Solution {

@@ -31,7 +31,7 @@
 //! sequences diverge per lane, which destroys both the lockstep grid and
 //! the amortization. Scenarios needing those paths run scalar.
 
-use crate::ode::{Budget, RhsError, SolveError, SolveStats};
+use crate::ode::{check_fixed_step, Budget, RhsError, SolveError, SolveStats};
 
 /// A batched initial value problem: `dim()` states × `lanes()` ensemble
 /// members evaluated per RHS call, structure-of-arrays with the lane
@@ -116,7 +116,7 @@ pub fn rk4_batch(
     h: f64,
     budget: &Budget,
 ) -> Result<BatchSolution, SolveError> {
-    assert!(h > 0.0 && tend > t0, "forward integration only");
+    check_fixed_step(t0, tend, h)?;
     let lanes = sys.lanes();
     assert!(lanes > 0, "batch must have at least one lane");
     let n = sys.dim();

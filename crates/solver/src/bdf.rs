@@ -18,7 +18,8 @@
 
 use crate::linalg::{LuFactors, Matrix};
 use crate::ode::{
-    check_finite, eval_rhs, obs_step, OdeSystem, Solution, SolveError, SolveStats, Tolerances,
+    check_finite, check_span, eval_rhs, obs_step, OdeSystem, Solution, SolveError, SolveStats,
+    Tolerances,
 };
 
 /// `(a-coefficients, b)` for BDF-k, k = 1..=5.
@@ -70,7 +71,7 @@ pub fn bdf(
     tend: f64,
     opts: &BdfOptions,
 ) -> Result<Solution, SolveError> {
-    assert!(tend > t0, "forward integration only");
+    check_span(t0, tend)?;
     assert!((1..=5).contains(&opts.max_order));
     let n = sys.dim();
     assert_eq!(y0.len(), n);

@@ -19,7 +19,7 @@
 
 use crate::adams::abm4;
 use crate::bdf::{bdf, BdfOptions};
-use crate::ode::{OdeSystem, Solution, SolveError, SolveStats, Tolerances};
+use crate::ode::{check_span, OdeSystem, Solution, SolveError, SolveStats, Tolerances};
 
 /// Which method family is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +96,7 @@ pub fn lsoda(
     tend: f64,
     opts: &LsodaOptions,
 ) -> Result<LsodaSolution, SolveError> {
-    assert!(tend > t0, "forward integration only");
+    check_span(t0, tend)?;
     assert!(opts.windows >= 1);
     let window = (tend - t0) / opts.windows as f64;
     let mut t = t0;

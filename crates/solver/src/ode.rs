@@ -233,6 +233,11 @@ pub enum SolveError {
     /// as a typed error instead of a panic so one bad scenario cannot
     /// poison a whole ensemble).
     Internal { what: &'static str },
+    /// The span is empty or runs backward (`tend <= t0`, or a NaN
+    /// bound): every solver integrates forward only.
+    InvalidSpan { t0: f64, tend: f64 },
+    /// A fixed step size is not positive (or is NaN).
+    InvalidStep { h: f64 },
 }
 
 impl fmt::Display for SolveError {
@@ -268,6 +273,12 @@ impl fmt::Display for SolveError {
             SolveError::Internal { what } => {
                 write!(f, "internal solver invariant violated: {what}")
             }
+            SolveError::InvalidSpan { t0, tend } => write!(
+                f,
+                "empty or backward time span from t0 = {t0} to tend = {tend} \
+                 (forward integration only)"
+            ),
+            SolveError::InvalidStep { h } => write!(f, "fixed step h = {h} is not positive"),
         }
     }
 }
@@ -286,6 +297,25 @@ impl SolveError {
 }
 
 impl std::error::Error for SolveError {}
+
+/// Reject an empty or backward span before any solver work starts.
+pub(crate) fn check_span(t0: f64, tend: f64) -> Result<(), SolveError> {
+    if tend > t0 {
+        Ok(())
+    } else {
+        Err(SolveError::InvalidSpan { t0, tend })
+    }
+}
+
+/// [`check_span`] plus a positive fixed step (the fixed-step solvers).
+pub(crate) fn check_fixed_step(t0: f64, tend: f64, h: f64) -> Result<(), SolveError> {
+    check_span(t0, tend)?;
+    if h > 0.0 {
+        Ok(())
+    } else {
+        Err(SolveError::InvalidStep { h })
+    }
+}
 
 /// A computed trajectory: accepted step points plus work counters.
 #[derive(Clone, Debug, Default)]
@@ -494,5 +524,51 @@ mod tests {
         assert_eq!(sys.dim(), 1);
         let mut jac = [0.0];
         assert!(!sys.jacobian(0.0, &[2.0], &mut jac));
+    }
+
+    /// Every solver rejects an empty or backward span (and the fixed-step
+    /// ones a non-positive step) with a typed, deterministic error before
+    /// evaluating the RHS, instead of panicking.
+    #[test]
+    fn bad_spans_are_typed_deterministic_errors() {
+        struct Never;
+        impl crate::BatchedOdeSystem for Never {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn lanes(&self) -> usize {
+                1
+            }
+            fn rhs_batch(&mut self, _t: f64, _y: &[f64], _d: &mut [f64]) -> Result<(), RhsError> {
+                panic!("RHS evaluated on a rejected span")
+            }
+        }
+        let mut sys = FnSystem::new(1, |_t, _y: &[f64], _d: &mut [f64]| {
+            panic!("RHS evaluated on a rejected span")
+        });
+        let tol = Tolerances::default();
+        let y0 = [1.0];
+        for (t0, tend) in [(0.0, 0.0), (1.0, 0.5), (0.0, f64::NAN)] {
+            let errors = [
+                crate::rk4(&mut sys, t0, &y0, tend, 0.1).err(),
+                crate::dopri5(&mut sys, t0, &y0, tend, &tol).err(),
+                crate::abm4(&mut sys, t0, &y0, tend, &tol).err(),
+                crate::bdf(&mut sys, t0, &y0, tend, &crate::BdfOptions::default()).err(),
+                crate::lsoda(&mut sys, t0, &y0, tend, &crate::LsodaOptions::default()).err(),
+                crate::rk4_batch(&mut Never, t0, &y0, tend, 0.1, &Budget::unlimited()).err(),
+            ];
+            for e in errors {
+                let e = e.expect("bad span must be an error");
+                assert!(matches!(e, SolveError::InvalidSpan { .. }), "{e:?}");
+                assert!(e.is_deterministic());
+            }
+        }
+        for h in [0.0, -0.1] {
+            let e = crate::rk4(&mut sys, 0.0, &y0, 1.0, h).expect_err("bad step");
+            assert!(matches!(e, SolveError::InvalidStep { .. }), "{e:?}");
+            let e = crate::rk4_batch(&mut Never, 0.0, &y0, 1.0, h, &Budget::unlimited())
+                .expect_err("bad step");
+            assert!(matches!(e, SolveError::InvalidStep { .. }), "{e:?}");
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! throughput measured in Figure 12 directly bounds simulation speed.
 
 use crate::ode::{
-    check_finite, eval_rhs, obs_step, Budget, OdeSystem, Solution, SolveError, SolveStats,
-    Tolerances,
+    check_finite, check_fixed_step, check_span, eval_rhs, obs_step, Budget, OdeSystem, Solution,
+    SolveError, SolveStats, Tolerances,
 };
 
 /// Integrate with the classic fourth-order Runge–Kutta method at fixed
@@ -33,7 +33,7 @@ pub fn rk4_budgeted(
     h: f64,
     budget: &Budget,
 ) -> Result<Solution, SolveError> {
-    assert!(h > 0.0 && tend > t0, "forward integration only");
+    check_fixed_step(t0, tend, h)?;
     let n = sys.dim();
     assert_eq!(y0.len(), n);
     let mut sol = Solution {
@@ -138,7 +138,7 @@ pub fn dopri5(
     tend: f64,
     tol: &Tolerances,
 ) -> Result<Solution, SolveError> {
-    assert!(tend > t0, "forward integration only");
+    check_span(t0, tend)?;
     let n = sys.dim();
     assert_eq!(y0.len(), n);
     let mut sol = Solution {

@@ -14,15 +14,18 @@
 //! ```
 
 use objectmath::analysis::{build_dependency_graph, partition_by_scc, to_dot};
-use objectmath::codegen::{emit_cpp, emit_fortran, CodeGenerator, ModelRegistry};
-use objectmath::ir::{causalize, OdeIr};
+use objectmath::codegen::{
+    emit_cpp, emit_fortran, front_end, CodeGenerator, CompiledModel, ModelKey, ModelRegistry,
+};
+use objectmath::ir::OdeIr;
 use objectmath::runtime::ensemble::json;
 use objectmath::runtime::{
     run_sweep, ExecutorPool, FaultConfig, FaultPlan, ParallelRhs, RuntimeError, ScenarioRunConfig,
     ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig, SweepError, SweepFaultPlan,
 };
 use objectmath::solver::{
-    abm4, bdf, dopri5, lsoda, rk4, BdfOptions, LsodaOptions, OdeSystem, SolveError, Tolerances,
+    abm4, bdf, dopri5, lsoda, rk4, BdfOptions, FnSystem, LsodaOptions, OdeSystem, SolveError,
+    Tolerances,
 };
 use std::fmt;
 use std::process::ExitCode;
@@ -111,7 +114,9 @@ fn usage() -> String {
                                    interior cells, bearing roller count\n\
        --array-aware               keep instance arrays symbolic (array\n\
                                    classes + loop tasks); default fully\n\
-                                   scalarizes, the bitwise oracle\n\
+                                   scalarizes, the bitwise oracle (sweep and\n\
+                                   request do not take it: the registry and\n\
+                                   the service compile scalarized)\n\
      \n\
      commands:\n\
        analyze                     dependency graph, SCCs, pipeline levels\n\
@@ -133,7 +138,8 @@ fn usage() -> String {
          --workers N               workers for the parallel version (default 4)\n\
        tasks                       task partitioning and LPT schedule\n\
          --workers N               (default 4)\n\
-       simulate                    integrate and print the final state\n\
+       simulate                    integrate the generated bytecode and print\n\
+                                   the final state\n\
          --tend T                  end time (default 1.0)\n\
          --solver NAME             dopri5|rk4|abm|bdf|lsoda (default dopri5)\n\
          --workers N               parallel RHS workers (default 1 = serial)\n\
@@ -293,6 +299,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let path = &args[0];
     let command = args[1].as_str();
     let opts = parse_flags(&args[2..])?;
+    if opts.array_aware && matches!(command, "sweep" | "request") {
+        return Err(CliError::Usage(format!(
+            "{command} does not take --array-aware: the model registry and the serve \
+             protocol have no front-end choice and always compile the scalarized model"
+        )));
+    }
 
     // Switch recording on before any instrumented object is built (pools
     // cache their metric handles at construction time).
@@ -330,20 +342,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return result.and(export);
     }
 
-    let flat = if opts.array_aware {
-        objectmath::lang::compile_arrays(&source)
-    } else {
-        objectmath::lang::compile(&source)
-    }
-    .map_err(|e| CliError::Compile(e.to_string()))?;
-    let mut ir = causalize(&flat).map_err(|e| CliError::Compile(e.to_string()))?;
-    objectmath::ir::verify_compilable(&ir).map_err(|e| CliError::Compile(e.to_string()))?;
-
+    let ir = front_end(&source, opts.array_aware).map_err(|e| CliError::Compile(e.message))?;
+    // Only `tasks` and `simulate` run the whole code generator; `emit`
+    // generates just what its target language needs.
+    let generate =
+        |ir| CompiledModel::from_ir(ModelKey::of_source(&source), ir, &CodeGenerator::default());
     let result = match command {
         "analyze" => analyze(&ir, &opts),
         "emit" => emit(&ir, &opts),
-        "tasks" => tasks(&ir, &opts),
-        "simulate" => simulate(&mut ir, &opts),
+        "tasks" => tasks(&generate(ir), &opts),
+        "simulate" => simulate(&generate(ir), &opts),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n{}",
             usage()
@@ -426,6 +434,36 @@ struct Flags {
     stats: bool,
 }
 
+impl Flags {
+    /// `--workers`, or `default` when the flag was not given.
+    fn workers_or(&self, default: usize) -> usize {
+        if self.workers == 0 {
+            default
+        } else {
+            self.workers
+        }
+    }
+
+    /// `--h`, or a thousandth of the span when the flag was not given.
+    fn step(&self) -> f64 {
+        if self.h > 0.0 {
+            self.h
+        } else {
+            self.tend / 1000.0
+        }
+    }
+}
+
+/// Parse a flag value (a number, or an executor name), naming the flag
+/// in the usage error.
+fn num<T: std::str::FromStr>(name: &str, text: &str) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    text.parse()
+        .map_err(|e| CliError::Usage(format!("{name}: {e}")))
+}
+
 fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
     let mut f = Flags {
         lang: "f90".into(),
@@ -448,164 +486,69 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
     };
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+        let name = flag.as_str();
+        let mut value = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| CliError::Usage(format!("flag {name} needs a value")))
         };
-        match flag.as_str() {
-            "--size" => {
-                f.size = Some(
-                    value("--size")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--size: {e}")))?,
-                )
-            }
+        match name {
+            "--size" => f.size = Some(num(name, &value()?)?),
             "--array-aware" => f.array_aware = true,
             "--dot" => f.dot = true,
             "--serial" => f.serial = true,
             "--json" => f.json = true,
-            "--deny" => f.deny = Some(value("--deny")?),
+            "--deny" => f.deny = Some(value()?),
             "--metrics" => f.metrics = true,
-            "--trace" => f.trace = Some(value("--trace")?),
-            "--lang" => f.lang = value("--lang")?,
-            "--solver" => f.solver = value("--solver")?,
-            "--executor" => {
-                f.executor = value("--executor")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--executor: {e}")))?
-            }
-            "--workers" => {
-                f.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--workers: {e}")))?
-            }
-            "--tend" => {
-                f.tend = value("--tend")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--tend: {e}")))?
-            }
-            "--rtol" => {
-                f.rtol = value("--rtol")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rtol: {e}")))?
-            }
-            "--atol" => {
-                f.atol = value("--atol")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--atol: {e}")))?
-            }
-            "--h" => {
-                f.h = value("--h")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--h: {e}")))?
-            }
+            "--trace" => f.trace = Some(value()?),
+            "--lang" => f.lang = value()?,
+            "--solver" => f.solver = value()?,
+            "--executor" => f.executor = num(name, &value()?)?,
+            "--workers" => f.workers = num(name, &value()?)?,
+            "--tend" => f.tend = num(name, &value()?)?,
+            "--rtol" => f.rtol = num(name, &value()?)?,
+            "--atol" => f.atol = num(name, &value()?)?,
+            "--h" => f.h = num(name, &value()?)?,
             "--set" => {
-                let spec = value("--set")?;
-                let (name, val) = spec.split_once('=').ok_or_else(|| {
+                let spec = value()?;
+                let (state, val) = spec.split_once('=').ok_or_else(|| {
                     CliError::Usage(format!("--set expects state=value, got `{spec}`"))
                 })?;
-                let val: f64 = val
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--set {name}: {e}")))?;
-                f.sets.push((name.to_owned(), val));
+                f.sets
+                    .push((state.to_owned(), num(&format!("--set {state}"), val)?));
             }
-            "--params" => f.params = Some(value("--params")?),
-            "--grid" => f.grid.push(value("--grid")?),
-            "--concurrency" => {
-                f.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--concurrency: {e}")))?
-            }
-            "--batch" => {
-                f.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--batch: {e}")))?
-            }
-            "--deadline-ms" => {
-                f.deadline_ms = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--deadline-ms: {e}")))?
-            }
-            "--max-rhs" => {
-                f.max_rhs = value("--max-rhs")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-rhs: {e}")))?
-            }
-            "--retries" => {
-                f.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--retries: {e}")))?
-            }
-            "--checkpoint" => f.checkpoint = Some(value("--checkpoint")?),
+            "--params" => f.params = Some(value()?),
+            "--grid" => f.grid.push(value()?),
+            "--concurrency" => f.concurrency = num(name, &value()?)?,
+            "--batch" => f.batch = num(name, &value()?)?,
+            "--deadline-ms" => f.deadline_ms = num(name, &value()?)?,
+            "--max-rhs" => f.max_rhs = num(name, &value()?)?,
+            "--retries" => f.retries = num(name, &value()?)?,
+            "--checkpoint" => f.checkpoint = Some(value()?),
             "--resume" => f.resume = true,
-            "--manifest" => f.manifest = Some(value("--manifest")?),
-            "--stop-after" => {
-                f.stop_after = Some(
-                    value("--stop-after")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--stop-after: {e}")))?,
-                )
-            }
-            "--fault-seed" => {
-                f.fault_seed = Some(
-                    value("--fault-seed")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-seed: {e}")))?,
-                )
-            }
+            "--manifest" => f.manifest = Some(value()?),
+            "--stop-after" => f.stop_after = Some(num(name, &value()?)?),
+            "--fault-seed" => f.fault_seed = Some(num(name, &value()?)?),
             "--fault-rates" => {
-                let spec = value("--fault-rates")?;
-                let parts: Vec<&str> = spec.split(',').collect();
-                let parse = |s: &str| -> Result<u32, CliError> {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-rates `{spec}`: {e}")))
-                };
+                let spec = value()?;
+                let parts: Vec<&str> = spec.split(',').map(str::trim).collect();
                 if parts.len() != 3 {
                     return Err(CliError::Usage(format!(
                         "--fault-rates expects panic,straggle,nan per-mille, got `{spec}`"
                     )));
                 }
-                f.fault_rates = (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+                let rate = |s: &str| num(&format!("--fault-rates `{spec}`"), s);
+                f.fault_rates = (rate(parts[0])?, rate(parts[1])?, rate(parts[2])?);
             }
-            "--straggle-ms" => {
-                f.straggle_ms = value("--straggle-ms")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--straggle-ms: {e}")))?
-            }
-            "--socket" => f.socket = Some(value("--socket")?),
+            "--straggle-ms" => f.straggle_ms = num(name, &value()?)?,
+            "--socket" => f.socket = Some(value()?),
             "--stdio" => f.stdio = true,
-            "--registry-cap" => {
-                f.registry_cap = value("--registry-cap")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--registry-cap: {e}")))?
-            }
-            "--max-scenarios" => {
-                f.max_scenarios = value("--max-scenarios")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-scenarios: {e}")))?
-            }
-            "--max-inflight" => {
-                f.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-inflight: {e}")))?
-            }
-            "--rate-burst" => {
-                f.rate_burst = value("--rate-burst")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rate-burst: {e}")))?
-            }
-            "--rate-per-sec" => {
-                f.rate_per_sec = value("--rate-per-sec")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rate-per-sec: {e}")))?
-            }
-            "--repeat" => {
-                f.repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--repeat: {e}")))?
-            }
+            "--registry-cap" => f.registry_cap = num(name, &value()?)?,
+            "--max-scenarios" => f.max_scenarios = num(name, &value()?)?,
+            "--max-inflight" => f.max_inflight = num(name, &value()?)?,
+            "--rate-burst" => f.rate_burst = num(name, &value()?)?,
+            "--rate-per-sec" => f.rate_per_sec = num(name, &value()?)?,
+            "--repeat" => f.repeat = num(name, &value()?)?,
             "--stats" => f.stats = true,
             other => {
                 return Err(CliError::Usage(format!(
@@ -736,7 +679,7 @@ fn analyze(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
 
 fn emit(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
     let generator = CodeGenerator::default();
-    let workers = if opts.workers == 0 { 4 } else { opts.workers };
+    let workers = opts.workers_or(4);
     match (opts.lang.as_str(), opts.serial) {
         ("mma", _) => print!("{}", generator.intermediate_code(ir)),
         ("f90", true) => print!(
@@ -778,10 +721,10 @@ fn emit(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn tasks(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
-    let workers = if opts.workers == 0 { 4 } else { opts.workers };
-    let program = CodeGenerator::default().generate(ir);
-    let sched = program.schedule(workers);
+fn tasks(model: &CompiledModel, opts: &Flags) -> Result<(), CliError> {
+    let workers = opts.workers_or(4);
+    let program = model.program();
+    let sched = model.schedule(workers);
     println!(
         "{} tasks, total {} flops, schedule on {workers} workers \
          (makespan {}, imbalance {:.3}):",
@@ -928,14 +871,9 @@ fn params_scenarios(path: &str) -> Result<Vec<Vec<(String, f64)>>, CliError> {
     }
 }
 
-/// The resilient ensemble driver: compile once through the registry, run
-/// every scenario to a terminal typed state, account for all of them.
-fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
-    let registry = ModelRegistry::new();
-    let model = registry
-        .get_or_compile(source)
-        .map_err(|e| CliError::Compile(e.to_string()))?;
-
+/// The scenario vectors of `sweep` and `request`: `--params` rows, then
+/// the `--grid` product.
+fn scenario_vectors(command: &str, opts: &Flags) -> Result<Vec<Vec<(String, f64)>>, CliError> {
     let mut vectors = Vec::new();
     if let Some(path) = &opts.params {
         vectors.extend(params_scenarios(path)?);
@@ -944,21 +882,40 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         vectors.extend(grid_scenarios(&opts.grid)?);
     }
     if vectors.is_empty() {
-        return Err(CliError::Usage(
-            "sweep needs scenarios: --params FILE and/or --grid state=a:b:n".into(),
-        ));
+        return Err(CliError::Usage(format!(
+            "{command} needs scenarios: --params FILE and/or --grid state=a:b:n"
+        )));
     }
-    // Fail fast on unknown state names (before spinning anything up).
-    for vector in &vectors {
-        for (name, _) in vector {
-            if model.ir().find_state(name).is_none() {
-                return Err(CliError::Usage(format!(
-                    "sweep: no state named `{name}` in model `{}`",
-                    model.ir().name
-                )));
-            }
+    Ok(vectors)
+}
+
+/// Fail fast on unknown state names, before spinning anything up.
+fn check_state_names(
+    command: &str,
+    model: &CompiledModel,
+    vectors: &[Vec<(String, f64)>],
+) -> Result<(), CliError> {
+    for (name, _) in vectors.iter().flatten() {
+        if model.ir().find_state(name).is_none() {
+            return Err(CliError::Usage(format!(
+                "{command}: no state named `{name}` in model `{}`",
+                model.ir().name
+            )));
         }
     }
+    Ok(())
+}
+
+/// The resilient ensemble driver: compile once through the registry, run
+/// every scenario to a terminal typed state, account for all of them.
+fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
+    let registry = ModelRegistry::new();
+    let model = registry
+        .get_or_compile(source)
+        .map_err(|e| CliError::Compile(e.to_string()))?;
+
+    let vectors = scenario_vectors("sweep", opts)?;
+    check_state_names("sweep", &model, &vectors)?;
     let scenarios: Vec<ScenarioSpec> = vectors
         .into_iter()
         .enumerate()
@@ -979,16 +936,11 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         }
         None => SweepFaultPlan::none(),
     };
-    let h = if opts.h > 0.0 {
-        opts.h
-    } else {
-        opts.tend / 1000.0
-    };
     let cfg = SweepConfig {
         run: ScenarioRunConfig {
             t0: 0.0,
             tend: opts.tend,
-            h,
+            h: opts.step(),
             deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
             max_rhs_calls: opts.max_rhs,
             max_retries: opts.retries,
@@ -1142,19 +1094,7 @@ mod sigterm {
 /// Render the `op:"run"` request line `omc MODEL request` sends, from
 /// the same `--grid`/`--params` vectors and envelope flags sweep uses.
 fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, CliError> {
-    let mut vectors = Vec::new();
-    if let Some(path) = &opts.params {
-        vectors.extend(params_scenarios(path)?);
-    }
-    if !opts.grid.is_empty() {
-        vectors.extend(grid_scenarios(&opts.grid)?);
-    }
-    if vectors.is_empty() {
-        return Err(CliError::Usage(
-            "request needs scenarios: --params FILE and/or --grid state=a:b:n".into(),
-        ));
-    }
-    let scenarios: Vec<String> = vectors
+    let scenarios: Vec<String> = scenario_vectors("request", opts)?
         .iter()
         .map(|overrides| {
             let fields: Vec<String> = overrides
@@ -1164,11 +1104,6 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
             format!("{{{}}}", fields.join(","))
         })
         .collect();
-    let h = if opts.h > 0.0 {
-        opts.h
-    } else {
-        opts.tend / 1000.0
-    };
     Ok(format!(
         "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\"deadline_ms\":{},\"max_rhs\":{},\
@@ -1176,7 +1111,7 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
         json::escape(source),
         scenarios.join(","),
         fmt_f64(opts.tend),
-        fmt_f64(h),
+        fmt_f64(opts.step()),
         opts.deadline_ms,
         opts.max_rhs,
         opts.retries,
@@ -1310,22 +1245,20 @@ fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
-    for (name, value) in &opts.sets {
-        if !ir.set_start(name, *value) {
-            return Err(CliError::Usage(format!("--set: no state named `{name}`")));
-        }
-    }
+fn simulate(model: &CompiledModel, opts: &Flags) -> Result<(), CliError> {
+    check_state_names("--set", model, std::slice::from_ref(&opts.sets))?;
+    let y0 = ScenarioSpec::new(0, opts.sets.clone())
+        .initial_state(model)
+        .map_err(CliError::Usage)?;
     let tol = Tolerances {
         rtol: opts.rtol,
         atol: opts.atol,
         ..Tolerances::default()
     };
-    let y0 = ir.initial_state();
     let tend = opts.tend;
-    let h = if opts.h > 0.0 { opts.h } else { tend / 1000.0 };
+    let h = opts.step();
 
-    // Serial (tree-walking) or parallel (bytecode worker pool) RHS.
+    // The generated bytecode, serially or on a worker pool.
     let solve = |sys: &mut dyn OdeSystem| -> Result<objectmath::solver::Solution, CliError> {
         match opts.solver.as_str() {
             "dopri5" => dopri5(sys, 0.0, &y0, tend, &tol).map_err(CliError::Solve),
@@ -1358,25 +1291,21 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         }
     };
 
+    let graph = &model.program().graph;
     let sol = if opts.workers <= 1 {
-        let evaluator =
-            objectmath::ir::IrEvaluator::new(ir).map_err(|e| CliError::Compile(e.to_string()))?;
-        let mut sys =
-            objectmath::solver::FnSystem::new(ir.dim(), move |t, y: &[f64], d: &mut [f64]| {
-                evaluator.rhs(t, y, d);
-            });
+        let mut sys = FnSystem::new(model.dim(), |t, y: &[f64], d: &mut [f64]| {
+            graph.eval_serial(t, y, d)
+        });
         solve(&mut sys)?
     } else {
-        let program = CodeGenerator::default().generate(ir);
-        let sched = program.schedule(opts.workers);
         let plan = match opts.fault_seed {
             Some(seed) => FaultPlan::from_seed(seed, opts.workers, opts.workers),
             None => FaultPlan::none(),
         };
         let (pool, fell_back) = ExecutorPool::with_faults_reported(
-            program.graph,
+            graph.clone(),
             opts.workers,
-            sched.assignment,
+            model.schedule(opts.workers).assignment.clone(),
             plan,
             FaultConfig::default(),
             opts.executor,
@@ -1428,7 +1357,7 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             String::new()
         }
     );
-    for (i, state) in ir.states.iter().enumerate() {
+    for (i, state) in model.ir().states.iter().enumerate() {
         println!("  {:<24} = {:+.9e}", state.sym.name(), sol.y_end()[i]);
     }
     Ok(())

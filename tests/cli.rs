@@ -324,3 +324,95 @@ fn metrics_without_workers_reports_solver_counters() {
     assert!(stderr.contains("solver.rhs_calls"), "{stderr}");
     assert!(stderr.contains("solver.steps_accepted"), "{stderr}");
 }
+
+/// Serial `simulate` runs the same generated bytecode as the worker
+/// pools, so its printed final state is byte-identical to a 2-worker
+/// work-stealing run on every builtin (scalarized and array-aware) and
+/// every shipped example, under both a fixed-step and an adaptive solver.
+#[test]
+fn serial_simulate_matches_two_worker_ws_byte_for_byte() {
+    let mut models: Vec<Vec<String>> = [
+        "heat1d --size 8",
+        "heat1d --size 8 --array-aware",
+        "bearing2d --size 3",
+        "bearing3d --size 3",
+    ]
+    .iter()
+    .map(|m| m.split(' ').map(str::to_owned).collect())
+    .collect();
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
+    let mut files: Vec<_> = std::fs::read_dir(examples)
+        .expect("examples dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "om"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no examples/*.om");
+    models.extend(files.iter().map(|p| vec![p.display().to_string()]));
+
+    for model in &models {
+        for solver in [
+            &["--solver", "rk4", "--h", "1e-5"][..],
+            &["--solver", "dopri5"],
+        ] {
+            let run = |extra: &[&str]| {
+                let out = omc()
+                    .arg(&model[0])
+                    .arg("simulate")
+                    .args(&model[1..])
+                    .args(["--tend", "0.01"])
+                    .args(solver)
+                    .args(extra)
+                    .output()
+                    .expect("run omc");
+                assert!(
+                    out.status.success(),
+                    "{model:?} {solver:?} {extra:?}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                out.stdout
+            };
+            let serial = run(&[]);
+            let ws2 = run(&["--workers", "2", "--executor", "ws"]);
+            assert!(
+                serial == ws2,
+                "{model:?} {solver:?}: serial and ws2 differ\n{}\n---\n{}",
+                String::from_utf8_lossy(&serial),
+                String::from_utf8_lossy(&ws2)
+            );
+        }
+    }
+}
+
+#[test]
+fn empty_time_span_is_a_typed_solver_error() {
+    for solver in ["dopri5", "rk4"] {
+        let out = omc()
+            .args([
+                "heat1d", "simulate", "--size", "4", "--tend", "0", "--solver", solver,
+            ])
+            .output()
+            .expect("run omc");
+        assert_eq!(out.status.code(), Some(3), "--solver {solver}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("solver error"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
+fn sweep_and_request_reject_array_aware() {
+    for command in ["sweep", "request"] {
+        let out = omc()
+            .args(["heat1d", command, "--array-aware", "--grid", "u[1]=0:1:2"])
+            .args(["--socket", "/nonexistent/omc.sock"])
+            .output()
+            .expect("run omc");
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("does not take --array-aware") && stderr.contains("scalarized"),
+            "{command}: {stderr}"
+        );
+    }
+}
